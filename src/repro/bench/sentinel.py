@@ -58,7 +58,6 @@ BENCH_GLOB = "BENCH_*.json"
 #: benches; everything else is simulated and deterministic.
 WALL_CLOCK_PATTERNS = (
     "*/wall_seconds/*",
-    "*/host_rss/*",
     "*accesses_per_sec*",
     "*_per_sec*",
     "*seconds_per_iter*",

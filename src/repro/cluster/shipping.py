@@ -8,14 +8,12 @@ already holds, plus a ``graphs`` side-table for the (at most one-per-
 graph-per-worker) first shipment.  Combined with the coordinator's
 affinity lanes — cells sharing a graph lease to the same worker — a
 fleet materialises each graph on as few workers as the lane assignment
-allows, mirroring what :class:`repro.parallel.shm.GraphStore` does for
-the in-process pool.
+allows.
 
-Tickets are keyed by the same affinity key the scheduler uses
-(:func:`repro.parallel.scheduling.cell_affinity`'s ``("mem", id)`` for
-a by-value :class:`~repro.graphs.csr.CSRGraph`), so "same graph" means
-the same parent-side object — exactly the sharing a compiled plan
-produces.  Substitution happens *after* fingerprinting on both sides
+Tickets are keyed by :func:`repro.parallel.scheduling.graph_key`, the
+key the lane scheduler groups by, so "same graph" means the same
+parent-side object — exactly the sharing a compiled plan produces.
+Substitution happens *after* fingerprinting on both sides
 (the coordinator fingerprints original cells, the worker receives the
 fingerprint in the lease), so tickets never touch cell identity.
 """
@@ -26,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Hashable
 
 from repro.graphs.csr import CSRGraph
+from repro.parallel.scheduling import graph_key
 
 __all__ = ["GraphTicket", "strip_cell", "resolve_cell"]
 
@@ -35,12 +34,6 @@ class GraphTicket:
     """Placeholder for a graph argument resident on the worker."""
 
     key: Hashable
-
-
-def _affinity_key(graph: CSRGraph) -> Hashable:
-    # Must match repro.parallel.scheduling._graph_hint so lease routing
-    # and shipping dedup agree on what "the same graph" means.
-    return ("mem", id(graph))
 
 
 def strip_cell(cell, shipped: set) -> tuple[Any, dict[Hashable, CSRGraph]]:
@@ -54,7 +47,7 @@ def strip_cell(cell, shipped: set) -> tuple[Any, dict[Hashable, CSRGraph]]:
 
     def swap(value: Any) -> Any:
         if isinstance(value, CSRGraph):
-            key = _affinity_key(value)
+            key = graph_key(value)
             if key not in shipped:
                 shipped.add(key)
                 blobs[key] = value

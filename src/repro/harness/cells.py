@@ -18,7 +18,6 @@ from repro.harness.experiment import measure_kernel, run_experiment
 from repro.kernels.pagerank import make_kernel
 from repro.kernels.priorwork import PRIOR_WORK
 from repro.models.performance import pb_phase_times
-from repro.parallel.shm import resolve_graph
 
 __all__ = [
     "experiment_cell",
@@ -30,25 +29,16 @@ __all__ = [
 
 
 def experiment_cell(graph, method, machine, graph_name, engine):
-    """One (graph, method) measurement — the suite/table/figure workhorse.
-
-    ``graph`` arrives by value (:class:`~repro.graphs.csr.CSRGraph`) on
-    the serial path, or as a :class:`~repro.parallel.shm.GraphRef` when
-    the plan executor routes a pooled sweep through the shared-memory
-    graph plane; :func:`resolve_graph` makes the two indistinguishable
-    (and the ref hashes as the graph, so the cell's fingerprint is the
-    same either way).
-    """
+    """One (graph, method) measurement — the suite/table/figure workhorse."""
     return run_experiment(
-        resolve_graph(graph), method, machine=machine,
-        graph_name=graph_name, engine=engine,
+        graph, method, machine=machine, graph_name=graph_name, engine=engine
     )
 
 
 def priorwork_cell(graph, kernel_name, machine, graph_name, engine):
     """One prior-work strategy (CSB/Galois/GraphMat/Ligra) measurement."""
     return measure_kernel(
-        PRIOR_WORK[kernel_name](resolve_graph(graph), machine),
+        PRIOR_WORK[kernel_name](graph, machine),
         graph_name=graph_name,
         engine=engine,
     )
@@ -74,7 +64,7 @@ def scaling_cell(n, degree, seed, machine, engine):
 
 def bin_width_cell(graph, width, machine, method, engine):
     """One (graph, width) point of the figure 9/10/11 sweeps (plain data)."""
-    kernel = make_kernel(resolve_graph(graph), method, machine, bin_width=width)
+    kernel = make_kernel(graph, method, machine, bin_width=width)
     counters = kernel.measure(1, engine=engine)
     phases = pb_phase_times(kernel, counters)
     return {

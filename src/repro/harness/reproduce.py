@@ -154,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 = serial, 0 = one per CPU); outputs are identical either way",
     )
     parser.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="shared-memory graph plane for pooled sweeps: publish each "
-        "distinct graph once into /dev/shm and ship cells tiny zero-copy "
-        "handles instead of pickled arrays (default: auto — on whenever a "
-        "process pool runs; --no-shm forces graphs by value; outputs are "
-        "byte-identical either way)",
-    )
-    parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
@@ -338,7 +328,6 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
         fault_plan=fault_plan,
         checkpoint_dir=args.resume,
         stats=SweepStats(),
-        shm=args.shm,
     )
 
 

@@ -21,11 +21,11 @@ from repro.parallel.scheduling import (
     affinity_lanes,
     cell_affinity,
     edge_balanced_ranges,
+    graph_key,
     greedy_assign,
     range_edge_counts,
     imbalance,
 )
-from repro.parallel.shm import GraphRef, GraphStore, resolve_graph
 from repro.parallel.model import (
     recommended_bin_width,
     thread_scaling,
@@ -64,12 +64,10 @@ __all__ = [
     "RetryPolicy",
     "SweepOptions",
     "SweepStats",
-    "GraphRef",
-    "GraphStore",
-    "resolve_graph",
     "affinity_lanes",
     "cell_affinity",
     "edge_balanced_ranges",
+    "graph_key",
     "greedy_assign",
     "range_edge_counts",
     "imbalance",

@@ -216,10 +216,6 @@ class SweepOptions:
     ``checkpoint_dir`` makes every sweep open (or resume) a per-label
     checkpoint file under that directory; ``stats`` accumulates across
     every sweep of a reproduce run so the final report shows one total.
-    ``shm`` controls the shared-memory graph plane in plan execution:
-    ``None`` (auto) enables it exactly when a process pool will run,
-    ``False`` forces graphs by value, ``True`` requests it explicitly
-    (still skipped on the serial path, which never touches shm).
     """
 
     workers: int | None = None
@@ -227,7 +223,6 @@ class SweepOptions:
     fault_plan: FaultPlan | None = None
     checkpoint_dir: str | None = None
     stats: SweepStats | None = None
-    shm: bool | None = None
 
 
 # ----------------------------------------------------------------------

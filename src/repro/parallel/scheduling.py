@@ -12,13 +12,15 @@ Two schedulers mirror the paper's choices:
   per-range costs to threads (what a dynamic work queue converges to).
 
 The same blocking insight applies to the harness itself: sweep cells
-that share a graph should land on the same worker so the graph is
-materialized on as few processes as possible.  :func:`cell_affinity`
-extracts a ``(graph key, edge cost)`` hint per sweep cell and
-:func:`affinity_lanes` assigns whole affinity groups to worker lanes
-with the very same :func:`greedy_assign` balancer (cost = estimated
-edges × cells), which the resilient engine's lane queue turns into
-de-facto worker pinning (:mod:`repro.parallel.resilience`).
+that share a graph should land on the same worker.  :func:`graph_key`
+defines what "the same graph" means for every dispatcher,
+:func:`cell_affinity` extracts a ``(graph key, edge cost)`` hint per
+sweep cell, and :func:`affinity_lanes` assigns whole affinity groups to
+worker lanes with the very same :func:`greedy_assign` balancer (cost =
+estimated edges × cells).  The resilient engine's lane queue turns the
+lanes into de-facto worker pinning (:mod:`repro.parallel.resilience`),
+and the fleet coordinator leases by them and ships each graph once per
+worker (:mod:`repro.cluster.shipping`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.shm import GraphRef
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "range_edge_counts",
     "greedy_assign",
     "imbalance",
+    "graph_key",
     "cell_affinity",
     "affinity_lanes",
 ]
@@ -122,28 +124,33 @@ def imbalance(costs: np.ndarray, num_threads: int, *, dynamic: bool = True) -> f
 # ----------------------------------------------------------------------
 # sweep-cell graph affinity (the harness-side blocking schedule)
 # ----------------------------------------------------------------------
+def graph_key(graph: CSRGraph) -> Hashable:
+    """What "the same graph" means to cell dispatch: the same object.
+
+    By identity, not content digest: hashing a multi-MB graph per cell
+    would cost more than the locality buys, and plan-compiled sweeps
+    pass the same object for equal content anyway.  Lane assignment
+    (:func:`cell_affinity`) and the fleet's ship-once dedup
+    (:mod:`repro.cluster.shipping`) both key on this.
+    """
+    return ("mem", id(graph))
+
+
 def _graph_hint(value: Any) -> tuple[Hashable, float] | None:
     """``(affinity key, edge cost)`` if ``value`` is a graph argument."""
-    if isinstance(value, GraphRef):
-        return ("shm", value.fingerprint), float(value.num_edges)
     if isinstance(value, CSRGraph):
-        # By identity, not content digest: hashing a multi-MB graph per
-        # cell would cost more than the locality buys, and plan-compiled
-        # sweeps pass the same object for equal content anyway.
-        return ("mem", id(value)), float(value.num_edges)
+        return graph_key(value), float(value.num_edges)
     return None
 
 
 def cell_affinity(cells: Sequence[Any]) -> list[tuple[Hashable, float]]:
     """Affinity hint ``(group key, cost)`` for every sweep cell.
 
-    Cells are grouped by the first graph argument they carry (a
-    :class:`~repro.parallel.shm.GraphRef` groups by content fingerprint,
-    a by-value :class:`CSRGraph` by object identity) with the graph's
-    edge count as the cost estimate.  A cell with no graph argument —
-    e.g. the scaling cells, which generate their own graph — forms a
-    singleton group of unit cost, so it still load-balances but never
-    constrains placement.
+    Cells are grouped by the first graph argument they carry
+    (:func:`graph_key`) with the graph's edge count as the cost
+    estimate.  A cell with no graph argument — e.g. the scaling cells,
+    which generate their own graph — forms a singleton group of unit
+    cost, so it still load-balances but never constrains placement.
     """
     hints: list[tuple[Hashable, float]] = []
     for index, cell in enumerate(cells):

@@ -1,483 +1,23 @@
-"""Zero-copy shared-memory graph plane for the sweep stack.
+"""Graph identity by content: :func:`graph_fingerprint`.
 
-The paper's thesis is that moving less data beats computing faster —
-yet the sweep stack used to ship the *same* CSR graph, pickled, through
-the process pool once per cell, so a 36-cell plan re-serialized
-identical multi-MB arrays dozens of times and every worker held private
-copies.  This module splits the sweep stack into a **data plane** and a
-**control plane**:
-
-* :class:`GraphStore` (parent side) publishes a graph's CSR arrays
-  (offsets, targets, optional weights) once into a
-  ``multiprocessing.shared_memory`` segment, content-addressed by the
-  graph's :func:`repro.utils.fingerprint.stable_digest`;
-* :class:`GraphRef` is the plain-data handle that replaces the graph in
-  cell arguments — a few hundred bytes of fingerprint + segment name +
-  layout, so the control plane (pool submissions) ships no array bytes;
-* :func:`resolve_graph` (worker side) attaches the segment on first
-  touch and rebuilds a read-only :class:`~repro.graphs.csr.CSRGraph`
-  whose arrays are zero-copy views over the shared mapping, cached
-  per-process so repeated cells on the same graph pay nothing.
-
-**Identity.** A ``GraphRef`` hashes identically to the graph it refers
-to (via the ``__fingerprint_proxy__`` hook honoured by
-:func:`~repro.utils.fingerprint.stable_digest`), so cell fingerprints —
-and therefore checkpoints, caches, and deterministic fault plans — are
-byte-identical with the graph plane on or off.
-
-**Lifecycle.** The parent owns every segment: ``publish`` reference
-counts by fingerprint, ``release``/``close`` unlink, a context-manager
-+ ``atexit`` guard unlinks even on KeyboardInterrupt mid-plan, and the
-parent's resource tracker covers a hard crash.  Workers *attach* but
-never unlink — each attach is unregistered from the worker's own
-resource tracker so a dying worker cannot tear the segment out from
-under its siblings (Python registers attachments too; see bpo-39959).
-Publish/attach/evict are observable as ``shm_*`` events on the fleet
-bus (``docs/metrics_schema.md``, events schema 1.1).
+The pool ships graphs to its workers by value (pickled with each cell)
+and the distributed fleet ships each graph once per worker
+(:mod:`repro.cluster.shipping`), so no graph needs a shared address.
+What every layer still needs is a *content* name for a graph — the
+serve cache keys answers by it, and a graph update is detected by it
+changing.  That name lives here, under the module that once published
+graphs into shared memory, because external tooling (the benchmark's
+traced run among it) imports it from this path.
 """
 
 from __future__ import annotations
 
-import atexit
-import dataclasses
-import os
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any
-
-import numpy as np
-
-from repro.graphs.csr import OFFSET_DTYPE, CSRGraph
-from repro.graphs.edgelist import VERTEX_DTYPE
-from repro.obs import events as _events
-from repro.obs.log import get_logger
+from repro.graphs.csr import CSRGraph
 from repro.utils.fingerprint import stable_digest
 
-__all__ = [
-    "GraphRef",
-    "GraphStore",
-    "resolve_graph",
-    "graph_fingerprint",
-    "attached_graph_count",
-    "SEGMENT_PREFIX",
-]
-
-log = get_logger("parallel.shm")
-
-#: Prefix of every segment this module creates (leak scans key on it).
-SEGMENT_PREFIX = "repro-shm"
-
-WEIGHT_DTYPE = np.float32
-
-_ALIGN = 8
-
-
-def _aligned(offset: int) -> int:
-    """Round ``offset`` up to the segment's 8-byte alignment."""
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+__all__ = ["graph_fingerprint"]
 
 
 def graph_fingerprint(graph: CSRGraph) -> str:
-    """Content digest of a graph — the data plane's addressing key."""
+    """Content digest of a graph: equal arrays, equal fingerprint."""
     return stable_digest(graph)
-
-
-@dataclass(frozen=True)
-class GraphRef:
-    """Plain-data handle to a graph published in shared memory.
-
-    Pickles to a few hundred bytes regardless of graph size; hashes
-    identically to the referenced :class:`CSRGraph` (fingerprint-proxy
-    hook), and materializes back into one via :meth:`materialize`.
-    """
-
-    fingerprint: str
-    segment: str
-    num_vertices: int
-    num_edges: int
-    weighted: bool
-    symmetric: bool
-    nbytes: int
-
-    def __fingerprint_proxy__(self) -> CSRGraph:
-        """Hash as the graph itself: refs never perturb cell identity."""
-        return self.materialize()
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Never ship the materialized graph: the ref *is* the wire form.
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name != "_graph"
-        }
-
-    def materialize(self) -> CSRGraph:
-        """The referenced graph, attached zero-copy on first touch."""
-        graph = self.__dict__.get("_graph")
-        if graph is None:
-            graph = _attach(self)
-            object.__setattr__(self, "_graph", graph)
-        return graph
-
-
-def _layout(num_vertices: int, num_edges: int, weighted: bool):
-    """Byte offsets of (offsets, targets, weights) and the total size."""
-    offsets_at = 0
-    targets_at = _aligned(offsets_at + (num_vertices + 1) * np.dtype(OFFSET_DTYPE).itemsize)
-    weights_at = _aligned(targets_at + num_edges * np.dtype(VERTEX_DTYPE).itemsize)
-    total = weights_at
-    if weighted:
-        total = _aligned(weights_at + num_edges * np.dtype(WEIGHT_DTYPE).itemsize)
-    return offsets_at, targets_at, weights_at, max(total, _ALIGN)
-
-
-def _views(buf, ref: GraphRef):
-    """Read-only numpy views of ``ref``'s arrays over segment buffer ``buf``."""
-    offsets_at, targets_at, weights_at, _ = _layout(
-        ref.num_vertices, ref.num_edges, ref.weighted
-    )
-    offsets = np.frombuffer(
-        buf, dtype=OFFSET_DTYPE, count=ref.num_vertices + 1, offset=offsets_at
-    )
-    targets = np.frombuffer(
-        buf, dtype=VERTEX_DTYPE, count=ref.num_edges, offset=targets_at
-    )
-    weights = None
-    if ref.weighted:
-        weights = np.frombuffer(
-            buf, dtype=WEIGHT_DTYPE, count=ref.num_edges, offset=weights_at
-        )
-    for array in (offsets, targets, weights):
-        if array is not None:
-            array.flags.writeable = False
-    return offsets, targets, weights
-
-
-def _as_graph(offsets, targets, weights, ref: GraphRef) -> CSRGraph:
-    """Assemble a CSRGraph over shared views without revalidating O(n+m).
-
-    The arrays were validated when the *source* graph was constructed and
-    the segment is content-addressed, so ``__init__``'s invariant checks
-    would only re-prove what the fingerprint already certifies — and at
-    one attach per worker per graph they are still cheap enough that we
-    keep them as a corruption tripwire.
-    """
-    return CSRGraph(offsets, targets, weights=weights, symmetric=ref.symmetric)
-
-
-# ----------------------------------------------------------------------
-# worker-side attach cache (also used by the parent's serial fallback)
-# ----------------------------------------------------------------------
-_attached_graphs: dict[str, CSRGraph] = {}
-_attached_segments: dict[str, shared_memory.SharedMemory] = {}
-_owned_segments: set[str] = set()  # names this process created (tracker owner)
-_release_registered = False
-_state_pid = os.getpid()
-
-
-def _fork_reset() -> None:
-    """Make the attach cache fork-local.
-
-    Under the ``fork`` start method a pool worker inherits the parent's
-    module state wholesale.  The inherited graphs and segment handles
-    belong to the *parent's* attachments — served from the child's
-    cache they would suppress ``shm_attached`` telemetry and keep dead
-    mappings resident — so the first shm touch in a new pid forgets
-    them and the child attaches in its own right.  ``_owned_segments``
-    is deliberately inherited: a forked child shares the parent's
-    resource-tracker process, so tracker entries for parent-created
-    segments must keep their single owner (the child skipping
-    unregister for them is exactly right).
-    """
-    global _state_pid, _release_registered
-    if _state_pid == os.getpid():
-        return
-    _state_pid = os.getpid()
-    _release_registered = False
-    _attached_graphs.clear()
-    for seg in _attached_segments.values():
-        try:
-            seg.close()
-        except BufferError:
-            pass
-    _attached_segments.clear()
-
-
-def _release_attachments() -> None:
-    """Atexit: drop the view cache so segment handles close quietly.
-
-    The cached graphs hold numpy views exported from each segment's
-    buffer; left for interpreter-shutdown GC, ``SharedMemory.__del__``
-    would raise ``BufferError: cannot close exported pointers exist``
-    into stderr.  Releasing the graphs first lets the handles close;
-    a handle still pinned by user references is simply left for the OS
-    (attachments are never unlinked, so nothing leaks either way).
-    """
-    _attached_graphs.clear()
-    import gc
-
-    gc.collect()
-    for seg in _attached_segments.values():
-        try:
-            seg.close()
-        except BufferError:
-            pass
-    _attached_segments.clear()
-
-
-def _attach(ref: GraphRef) -> CSRGraph:
-    """Attach ``ref``'s segment (once per process) and build the views."""
-    global _release_registered
-    _fork_reset()
-    graph = _attached_graphs.get(ref.segment)
-    if graph is not None:
-        return graph
-    seg = shared_memory.SharedMemory(name=ref.segment)
-    # Python's resource tracker registers *attachments* as owned segments
-    # (bpo-39959): left registered, a finishing worker would unlink the
-    # segment out from under its siblings and the parent.  Ownership
-    # stays with the publishing process, so unregister our handle —
-    # except when this process *is* the publisher (its register from
-    # ``create=True`` and this one collapse into one tracker entry, which
-    # must survive until unlink).
-    if ref.segment not in _owned_segments:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:  # noqa: BLE001 — tracker internals vary by platform
-            pass
-    if not _release_registered:
-        atexit.register(_release_attachments)
-        _release_registered = True
-    offsets, targets, weights = _views(seg.buf, ref)
-    graph = _as_graph(offsets, targets, weights, ref)
-    _attached_segments[ref.segment] = seg
-    _attached_graphs[ref.segment] = graph
-    _events.emit(
-        "shm_attached",
-        fingerprint=ref.fingerprint,
-        segment=ref.segment,
-        bytes=ref.nbytes,
-        resident=len(_attached_graphs),
-    )
-    return graph
-
-
-def attached_graph_count() -> int:
-    """Graphs resident in this process's attach cache (telemetry/tests)."""
-    _fork_reset()
-    return len(_attached_graphs)
-
-
-def resolve_graph(graph: "GraphRef | CSRGraph") -> CSRGraph:
-    """Accept a graph by value or by reference — the cell-side contract.
-
-    Cell functions call this on their graph argument so plan specs,
-    serial runs, and shm-backed pool runs all flow through the same
-    code: a :class:`CSRGraph` passes through untouched (the serial path
-    never touches shared memory), a :class:`GraphRef` materializes its
-    zero-copy view.
-    """
-    if isinstance(graph, GraphRef):
-        return graph.materialize()
-    return graph
-
-
-# ----------------------------------------------------------------------
-# parent-side store
-# ----------------------------------------------------------------------
-class _Segment:
-    """One published segment and its parent-side bookkeeping."""
-
-    __slots__ = ("shm", "ref", "refcount")
-
-    def __init__(self, shm: shared_memory.SharedMemory, ref: GraphRef) -> None:
-        self.shm = shm
-        self.ref = ref
-        self.refcount = 1
-
-
-class GraphStore:
-    """Content-addressed publisher of CSR graphs into shared memory.
-
-    One store per plan execution: ``publish`` each distinct graph once
-    (idempotent per content fingerprint, reference counted), substitute
-    the returned :class:`GraphRef` into cell args, and ``close()`` —
-    or use the store as a context manager — when the sweep is done.
-    Teardown is triple-guarded: context manager, explicit ``close``,
-    and an ``atexit`` hook, so a KeyboardInterrupt mid-plan leaves no
-    orphaned ``/dev/shm`` segments (the parent's resource tracker covers
-    a hard crash).
-    """
-
-    def __init__(self, *, label: str = "plan") -> None:
-        self.label = label
-        self._segments: dict[str, _Segment] = {}  # fingerprint -> segment
-        self._by_graph_id: dict[int, str] = {}  # id(graph) -> fingerprint
-        self._pinned: dict[int, CSRGraph] = {}  # keep ids stable while cached
-        self._counter = 0
-        self._closed = False
-        self._pid = os.getpid()
-        atexit.register(self.close)
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "GraphStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes currently published across all live segments."""
-        return sum(entry.ref.nbytes for entry in self._segments.values())
-
-    # ------------------------------------------------------------------
-    def publish(self, graph: CSRGraph) -> GraphRef:
-        """Publish ``graph`` (once per content) and return its handle.
-
-        Publishing the same graph object — or an equal-content graph —
-        again returns the existing segment's ref and bumps its
-        reference count.
-        """
-        if self._closed:
-            raise RuntimeError("GraphStore is closed")
-        fingerprint = self._by_graph_id.get(id(graph))
-        if fingerprint is None:
-            fingerprint = graph_fingerprint(graph)
-            self._by_graph_id[id(graph)] = fingerprint
-            self._pinned[id(graph)] = graph
-        entry = self._segments.get(fingerprint)
-        if entry is not None:
-            entry.refcount += 1
-            return entry.ref
-        ref, shm = self._create_segment(graph, fingerprint)
-        self._segments[fingerprint] = _Segment(shm, ref)
-        _events.emit(
-            "shm_published",
-            fingerprint=fingerprint,
-            segment=ref.segment,
-            bytes=ref.nbytes,
-            vertices=ref.num_vertices,
-            edges=ref.num_edges,
-        )
-        log.debug(
-            "%s: published graph %s (%d bytes) as %s",
-            self.label,
-            fingerprint[:12],
-            ref.nbytes,
-            ref.segment,
-        )
-        return ref
-
-    def _create_segment(self, graph: CSRGraph, fingerprint: str):
-        weighted = graph.weights is not None
-        n, m = graph.num_vertices, graph.num_edges
-        offsets_at, targets_at, weights_at, total = _layout(n, m, weighted)
-        shm = None
-        while shm is None:
-            name = f"{SEGMENT_PREFIX}-{os.getpid()}-{self._counter}-{fingerprint[:12]}"
-            self._counter += 1
-            try:
-                shm = shared_memory.SharedMemory(create=True, name=name, size=total)
-            except FileExistsError:  # stale name from another store; next counter
-                continue
-        _owned_segments.add(shm.name)
-        ref = GraphRef(
-            fingerprint=fingerprint,
-            segment=shm.name,
-            num_vertices=n,
-            num_edges=m,
-            weighted=weighted,
-            symmetric=graph.symmetric,
-            nbytes=total,
-        )
-        offsets, targets, weights = _views(shm.buf, ref)
-        for view, source in ((offsets, graph.offsets), (targets, graph.targets)):
-            view.flags.writeable = True
-            np.copyto(view, source)
-            view.flags.writeable = False
-        if weighted:
-            weights.flags.writeable = True
-            np.copyto(weights, graph.weights)
-            weights.flags.writeable = False
-        # The parent materializes for free (serial fallback, fingerprint
-        # proxy): the ref resolves straight to the source graph.
-        object.__setattr__(ref, "_graph", graph)
-        return ref, shm
-
-    def publish_cell(self, cell: Any) -> Any:
-        """Rewrite a sweep/plan cell's graph arguments into refs.
-
-        Duck-typed over frozen dataclasses carrying ``args``/``kwargs``
-        (:class:`~repro.parallel.sweep.SweepCell`,
-        :class:`~repro.plan.spec.Cell`); returns the cell unchanged when
-        it carries no :class:`CSRGraph` argument.
-        """
-        changed = False
-
-        def substitute(value: Any) -> Any:
-            nonlocal changed
-            if isinstance(value, CSRGraph):
-                changed = True
-                return self.publish(value)
-            return value
-
-        args = tuple(substitute(value) for value in cell.args)
-        kwargs = {name: substitute(value) for name, value in cell.kwargs.items()}
-        if not changed:
-            return cell
-        return dataclasses.replace(cell, args=args, kwargs=kwargs)
-
-    # ------------------------------------------------------------------
-    def release(self, ref: GraphRef) -> None:
-        """Drop one reference; unlink the segment when none remain."""
-        entry = self._segments.get(ref.fingerprint)
-        if entry is None:
-            return
-        entry.refcount -= 1
-        if entry.refcount <= 0:
-            self._segments.pop(ref.fingerprint)
-            self._unlink(entry)
-
-    def close(self) -> None:
-        """Unlink every live segment (idempotent; also the atexit hook)."""
-        if self._closed:
-            return
-        self._closed = True
-        atexit.unregister(self.close)
-        if os.getpid() != self._pid:
-            # A forked pool worker inherited this store (and its atexit
-            # hook).  The segments belong to the parent — a worker
-            # exiting must not unlink them out from under the fleet.
-            return
-        for entry in self._segments.values():
-            self._unlink(entry)
-        self._segments.clear()
-        self._by_graph_id.clear()
-        self._pinned.clear()
-
-    def _unlink(self, entry: _Segment) -> None:
-        _owned_segments.discard(entry.ref.segment)
-        _events.emit(
-            "shm_evicted",
-            fingerprint=entry.ref.fingerprint,
-            segment=entry.ref.segment,
-            bytes=entry.ref.nbytes,
-        )
-        try:
-            entry.shm.close()
-        except Exception:  # noqa: BLE001 — exported views keep the map alive
-            pass
-        try:
-            entry.shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:  # noqa: BLE001 — teardown must never raise
-            log.warning(
-                "%s: failed to unlink segment %s", self.label, entry.ref.segment
-            )

@@ -111,7 +111,6 @@ def execute_plan(
     options: SweepOptions | None = None,
     cache=None,
     label: str = "plan",
-    shm: bool | None = None,
     executor: Executor | None = None,
 ) -> PlanResults:
     """Execute every unique cell of ``plan`` once and return the results.
@@ -124,15 +123,9 @@ def execute_plan(
     ``get(fingerprint) -> entry | None`` (entry carries ``result`` and
     ``seconds``) and ``put(fingerprint, result, seconds)``.
 
-    ``shm`` (``options.shm`` wins when set) controls the shared-memory
-    graph plane: in pool mode every distinct graph argument is published
-    once into a :class:`~repro.parallel.shm.GraphStore` and cells ship
-    :class:`~repro.parallel.shm.GraphRef` handles instead of pickled
-    arrays — cell fingerprints, checkpoints, caches, and results are
-    identical either way.  The default (``None``, auto) enables it
-    exactly when a pool will run; the serial path never touches shm.
-    Pool dispatch also groups cells by graph into affinity lanes so each
-    graph is materialized on as few workers as possible.
+    In pool mode each cell ships its graph arguments by value, and
+    dispatch groups cells by graph into affinity lanes so cells sharing
+    a graph run on one worker.
 
     ``executor`` selects *how* the cache-miss cells run: ``None`` (the
     default) uses :class:`~repro.plan.executors.LocalExecutor`, the
@@ -200,7 +193,6 @@ def execute_plan(
             effective_workers = (
                 options.workers if options.workers is not None else workers
             )
-            use_shm = options.shm if options.shm is not None else shm
 
             checkpoint = None
             if options.checkpoint_dir:
@@ -225,7 +217,6 @@ def execute_plan(
                 if (checkpoint is not None or cache is not None)
                 else None,
                 stats=sweep_stats,
-                shm=use_shm,
                 cache=cache,
                 result_fingerprints=plan_fp_for,
             )

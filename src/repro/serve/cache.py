@@ -3,8 +3,8 @@
 Keys are :func:`serve_fingerprint` digests over ``(graph fingerprint,
 canonical seed set, solver params)`` — the same
 :func:`repro.utils.fingerprint.stable_digest` addressing the measurement
-cache and the shm graph plane use, so a served result is identified by
-*content*, never by request order or process identity.  Two consequences
+cache uses, so a served result is identified by *content*, never by
+request order or process identity.  Two consequences
 do the heavy lifting:
 
 * a repeated query (same graph, same seeds, same params) is a pure disk

@@ -20,7 +20,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.shm import GraphRef
 from repro.serve.cache import ServeCache
 from repro.serve.server import PPRServer, ServeConfig
 
@@ -82,7 +81,7 @@ class LoadReport:
 
 
 def run_load(
-    graph: CSRGraph | GraphRef,
+    graph: CSRGraph,
     queries: Sequence[Sequence[int]],
     *,
     config: ServeConfig | None = None,

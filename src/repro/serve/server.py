@@ -34,11 +34,10 @@ Guarantees:
   (:func:`repro.serve.updates.dirty_ancestors`); maintained global
   scores re-propagate only the update residual through
   :func:`repro.kernels.delta.delta_repropagate`.
-
-The server accepts the graph by value (:class:`~repro.graphs.csr.CSRGraph`)
-or by reference (:class:`repro.parallel.shm.GraphRef`), so a fleet of
-server processes can serve score state zero-copy from one published shm
-segment — the PR 8 data plane.
+* **Answers name their graph.**  A miss is keyed when its batch runs,
+  against the graph that batch solves, so an answer's fingerprint, its
+  scores and its cache entry always describe the same graph version —
+  even when :meth:`apply_updates` lands between enqueue and solve.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from repro.parallel.faults import (
     InjectedTimeout,
     is_corrupt,
 )
-from repro.parallel.shm import GraphRef, graph_fingerprint, resolve_graph
+from repro.parallel.shm import graph_fingerprint
 from repro.serve.batching import BatchPolicy, BatchQueue
 from repro.serve.cache import ServeCache, canonical_seeds, serve_fingerprint
 from repro.serve.updates import EdgeUpdate, UpdateReport, apply_edge_updates, dirty_ancestors, update_residual
@@ -159,9 +158,12 @@ def topk(scores: np.ndarray, k: int) -> tuple[tuple[int, float], ...]:
 
 @dataclass
 class _Pending:
-    """One enqueued request: its identity and its single-resolution slot."""
+    """One enqueued request: its seeds and its single-resolution slot.
 
-    fingerprint: str
+    It carries no fingerprint: the batch that solves it keys it against
+    the graph current at that moment (:meth:`PPRServer._run_batch`).
+    """
+
     seeds: tuple[int, ...]
     future: asyncio.Future
 
@@ -177,19 +179,15 @@ class PPRServer:
 
     def __init__(
         self,
-        graph: CSRGraph | GraphRef,
+        graph: CSRGraph,
         config: ServeConfig | None = None,
         *,
         cache: ServeCache | None = None,
     ) -> None:
-        self.graph = resolve_graph(graph)
+        self.graph = graph
         self.config = config or ServeConfig()
         self.cache = cache
-        self.graph_fp = (
-            graph.fingerprint
-            if isinstance(graph, GraphRef)
-            else graph_fingerprint(self.graph)
-        )
+        self.graph_fp = graph_fingerprint(graph)
         self._queue = BatchQueue(self.config.policy)
         self._dispatcher: asyncio.Task | None = None
         self._maintenance = asyncio.Lock()
@@ -241,7 +239,8 @@ class PPRServer:
 
         Cache hits return immediately (one small-file disk read — no
         kernel run, no batching delay); misses enqueue for the next
-        coalesced batch.
+        coalesced batch, and their result carries the fingerprint of
+        the graph that batch solved.
         """
         if self._dispatcher is None:
             raise RuntimeError("server is not started (use 'async with PPRServer')")
@@ -280,8 +279,8 @@ class PPRServer:
                 cached=False,
             )
             future: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._queue.put(_Pending(fingerprint, seed_tuple, future))
-            scores, batch_size = await future
+            self._queue.put(_Pending(seed_tuple, future))
+            fingerprint, scores, batch_size = await future
         return QueryResult(
             seeds=seed_tuple,
             fingerprint=fingerprint,
@@ -308,10 +307,18 @@ class PPRServer:
                             pending.future.set_exception(exc)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
+        # Key every request against the graph this batch solves — an
+        # update may have landed since it was enqueued.  The dispatcher
+        # lock keeps self.graph fixed until the batch resolves.
+        params = self.config.solver_params()
+        keys = [
+            serve_fingerprint(self.graph_fp, pending.seeds, params)
+            for pending in batch
+        ]
         # Coalesce duplicate queries: one solve per distinct fingerprint.
         unique: dict[str, tuple[int, ...]] = {}
-        for pending in batch:
-            unique.setdefault(pending.fingerprint, pending.seeds)
+        for fingerprint, pending in zip(keys, batch):
+            unique.setdefault(fingerprint, pending.seeds)
         self._counters["coalesced"] += len(batch) - len(unique)
 
         # A concurrent request may have populated the cache after this
@@ -353,10 +360,10 @@ class PPRServer:
                         fingerprint, seeds, result.scores, seconds / len(to_solve)
                     )
 
-        for pending in batch:
+        for fingerprint, pending in zip(keys, batch):
             if not pending.future.done():
                 pending.future.set_result(
-                    (scores_by_fp[pending.fingerprint], len(batch))
+                    (fingerprint, scores_by_fp[fingerprint], len(batch))
                 )
         self._counters["batches"] += 1
         self._counters["occupancy_sum"] += len(batch)
@@ -425,8 +432,11 @@ class PPRServer:
         """Apply an edge-update batch; invalidate exactly; maintain scores.
 
         Runs under the dispatcher's lock, so updates never interleave
-        with an in-flight batch: queries enqueued before the update see
-        the old graph's answers, queries after see the new graph's.
+        with an in-flight batch.  A query answers on the graph current
+        when it is served: a cache hit, or the batch that solves a miss.
+        A miss enqueued before the update but solved after it gets the
+        new graph's scores under the new graph's fingerprint and cache
+        key.
         """
         async with self._maintenance:
             old_graph, old_fp = self.graph, self.graph_fp

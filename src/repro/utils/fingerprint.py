@@ -17,13 +17,6 @@ qualname + fields), and callables (module + qualname — identity by
 *name*, so editing a function's body does not invalidate checkpoints;
 renaming or moving it does).  Anything else falls back to ``repr``,
 which keeps the digest total but only as stable as the repr.
-
-A type may define ``__fingerprint_proxy__(self) -> Any`` to hash as a
-*different* value: the walk feeds the proxy's return instead of the
-object itself.  :class:`repro.parallel.shm.GraphRef` uses this to hash
-as the CSR graph it references, which is what keeps cell fingerprints
-(checkpoints, caches, fault plans) byte-identical whether a sweep ships
-graphs by value or through the shared-memory data plane.
 """
 
 from __future__ import annotations
@@ -60,11 +53,6 @@ def _feed(h, obj: Any) -> None:
         h.update(b";")
     elif isinstance(obj, np.generic):
         _feed(h, obj.item())
-    elif hasattr(type(obj), "__fingerprint_proxy__"):
-        # Placed after the primitive branches (they can't carry the hook)
-        # but before containers/dataclasses/callables, so a dataclass
-        # handle like GraphRef hashes as its proxy, not its fields.
-        _feed(h, obj.__fingerprint_proxy__())
     elif isinstance(obj, (tuple, list)):
         h.update(b"(" if isinstance(obj, tuple) else b"[")
         for item in obj:

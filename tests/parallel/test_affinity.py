@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.builder import build_csr
 from repro.graphs.generators import uniform_random_graph
-from repro.parallel.scheduling import affinity_lanes, cell_affinity
-from repro.parallel.shm import GraphStore, resolve_graph
+from repro.parallel.scheduling import affinity_lanes, cell_affinity, graph_key
 from repro.parallel.sweep import SweepCell, run_cells
 
 
@@ -94,7 +93,7 @@ def _identity_cell(*args, **kwargs):
     return args, kwargs
 
 
-def test_cell_affinity_groups_by_graph_identity_and_fingerprint():
+def test_cell_affinity_groups_by_graph_identity():
     g1 = build_csr(uniform_random_graph(300, 4, seed=1))
     g2 = build_csr(uniform_random_graph(300, 4, seed=2))
     cells = [
@@ -108,14 +107,8 @@ def test_cell_affinity_groups_by_graph_identity_and_fingerprint():
     assert keys[2] == keys[3]
     assert keys[0] != keys[2]
     assert all(cost == float(g1.num_edges) for _, cost in hints[:2])
-
-    with GraphStore() as store:
-        refs = [store.publish_cell(cell) for cell in cells]
-        ref_hints = cell_affinity(refs)
-    ref_keys = [key for key, _ in ref_hints]
-    assert ref_keys[0] == ref_keys[1] != ref_keys[2]
-    # shm refs group by content fingerprint, not object identity
-    assert ref_keys[0][0] == "shm"
+    # The fleet's ship-once dedup keys on the same definition.
+    assert keys[0] == graph_key(g1) and keys[2] == graph_key(g2)
 
 
 def test_cell_affinity_graphless_cells_are_singletons():
@@ -132,7 +125,6 @@ def test_cell_affinity_graphless_cells_are_singletons():
 # end to end: lane dispatch is invisible in the results
 # ----------------------------------------------------------------------
 def _degree_cell(graph, scale):
-    graph = resolve_graph(graph)
     return float(np.sum(np.diff(graph.offsets))) * scale
 
 

@@ -2,8 +2,16 @@
 
 import pytest
 
+from repro.graphs import build_csr, uniform_random_graph
 from repro.harness.cache import MeasurementCache
-from repro.parallel.resilience import CellFailedError, RetryPolicy, SweepOptions
+from repro.harness.figures import figure9_spec
+from repro.parallel.faults import FaultPlan
+from repro.parallel.resilience import (
+    CellFailedError,
+    RetryPolicy,
+    SweepOptions,
+    SweepStats,
+)
 from repro.plan import Cell, ExperimentSpec, compile_plan, execute_plan
 
 CALLS: list = []
@@ -148,3 +156,25 @@ def test_empty_plan_executes_nothing():
     results = execute_plan(plan)
     assert results.artifact("empty") == {}
     assert plan.stats.executed == 0
+
+
+def test_pooled_fault_injected_graph_cells_match_serial():
+    """Pool workers receive each cell's graph by value; with crashes and
+    corrupt results injected and retried, the pooled figure renders
+    byte-identically to the serial one."""
+    graphs = {
+        f"g{seed}": build_csr(uniform_random_graph(512, 4, seed=seed))
+        for seed in (1, 2)
+    }
+    spec = figure9_spec(graphs, [64, 256])
+    serial = execute_plan(compile_plan([spec])).artifact("fig9").render()
+    stats = SweepStats()
+    options = SweepOptions(
+        workers=2,
+        policy=RetryPolicy(max_retries=3),
+        fault_plan=FaultPlan.from_string("seed=5,rate=0.4,kinds=crash|corrupt,max=2"),
+        stats=stats,
+    )
+    pooled = execute_plan(compile_plan([spec]), options=options).artifact("fig9")
+    assert stats.injected_faults > 0
+    assert pooled.render().encode() == serial.encode()

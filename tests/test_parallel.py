@@ -17,6 +17,8 @@ from repro.parallel import (
     recommended_bin_width,
     thread_scaling,
 )
+from repro.parallel.shm import graph_fingerprint
+from repro.utils.fingerprint import stable_digest
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +230,10 @@ def test_threaded_spans_nest_per_thread(random_graph):
     # caller's phase paths.
     assert "binning/binning_task" not in stats
     assert "accumulate/accumulate_task" not in stats
+
+
+# ----------------------------------------------------------------------
+# graph identity
+# ----------------------------------------------------------------------
+def test_graph_fingerprint_matches_stable_digest(random_graph):
+    assert graph_fingerprint(random_graph) == stable_digest(random_graph)
